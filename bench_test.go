@@ -983,19 +983,37 @@ func dedupBenchTicks(b *testing.B) (*webgen.World, []dedupTick) {
 	return base, ticks
 }
 
+// reportPerComment reports how many comments each timed operation
+// inserted and the timed cost per inserted comment.
+func reportPerComment(b *testing.B, comments int) {
+	b.ReportMetric(float64(comments)/float64(b.N), "comments/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(comments), "us/comment")
+}
+
 func BenchmarkDedupIndexRebuild(b *testing.B) {
 	_, ticks := dedupBenchTicks(b)
+	sizes := make([]int, len(ticks))
+	for k, t := range ticks {
+		for _, s := range t.world.Sources {
+			for _, d := range s.Discussions {
+				sizes[k] += len(d.Comments)
+			}
+		}
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	var ix *correlate.Index
+	comments := 0
 	for i := 0; i < b.N; i++ {
 		ix = correlate.NewIndex()
 		ix.Build(ticks[i%len(ticks)].world)
+		comments += sizes[i%len(ticks)]
 	}
 	b.StopTimer()
 	if ix.Stats().Indexed == 0 {
 		b.Fatal("rebuild indexed no comments")
 	}
+	reportPerComment(b, comments)
 }
 
 func BenchmarkDedupIndexIncremental(b *testing.B) {
@@ -1004,6 +1022,7 @@ func BenchmarkDedupIndexIncremental(b *testing.B) {
 	ix.Build(base)
 	b.ReportAllocs()
 	b.ResetTimer()
+	comments := 0
 	for i := 0; i < b.N; i++ {
 		k := i % len(ticks)
 		if k == 0 && i > 0 {
@@ -1015,11 +1034,13 @@ func BenchmarkDedupIndexIncremental(b *testing.B) {
 			b.StartTimer()
 		}
 		ix.Fold(ticks[k].world, ticks[k].delta)
+		comments += ticks[k].delta.NewCommentCount()
 	}
 	b.StopTimer()
 	if ix.Stats().Indexed == 0 {
 		b.Fatal("incremental fold indexed no comments")
 	}
+	reportPerComment(b, comments)
 }
 
 // BenchmarkStoriesQuery measures the first page of the stories listing on

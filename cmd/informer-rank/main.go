@@ -147,13 +147,14 @@ func main() {
 	}
 }
 
-// bestDimension names the dimension with the highest score.
+// bestDimension names the dimension with the highest score. Ties go to
+// the dimension first in enum order, so the label never depends on map
+// iteration order.
 func bestDimension(a *informer.Assessment) string {
-	best, bestV := "", -1.0
+	best, bestV := informer.Dimension(-1), -1.0
 	for d, v := range a.DimensionScores {
-		if v > bestV {
-			bestV = v
-			best = d.String()
+		if v > bestV || v == bestV && d < best {
+			best, bestV = d, v
 		}
 	}
 	return fmt.Sprintf("%s (%.2f)", best, bestV)

@@ -7,8 +7,8 @@ import (
 	"github.com/informing-observers/informer/internal/webgen"
 )
 
-// comEntry is the per-comment state the index keeps: the signature, the
-// comment's provenance, and its immutable duplicate verdict. A comment is
+// comEntry is the per-comment state the index keeps: the comment's
+// provenance and its immutable duplicate verdict. A comment is
 // a duplicate iff, at insertion time, some *earlier* (lower-ID) comment
 // from a *different* source sits within DupHamming of it — a source
 // quoting itself is not syndication. Comment IDs are append-only and
@@ -17,12 +17,12 @@ import (
 // and a verdict never changes once written; per-source counters can only
 // move for sources the tick dirtied.
 type comEntry struct {
-	sig     uint64
 	source  int32
 	disc    int32
 	posted  int64 // UnixNano
+	present bool  // the comment was inserted (with or without a body)
+	indexed bool  // the comment carries a signature
 	dup     bool
-	indexed bool
 }
 
 // edge is one story-tier candidate pair buffered for the batch merge.
@@ -45,8 +45,18 @@ type cluster struct {
 // exactly like the ingestion accumulator — and publishes immutable
 // StorySet snapshots for readers. It is NOT safe for concurrent use.
 type Index struct {
-	entries []comEntry                   // indexed by comment ID
-	buckets [numBands]map[uint16][]int32 // band value -> comment IDs, insertion order
+	entries []comEntry // indexed by comment ID
+	// sigs is the signature column (0 for un-indexed comments), kept apart
+	// from entries so the candidate scan touches 8 bytes per candidate.
+	sigs []uint64
+	// stamp[c] is 1 + the ID of the last inserting comment that found
+	// candidate c within a tier: a per-insert "seen" set that never needs
+	// clearing, since inserting IDs are unique.
+	stamp []int32
+	// buckets[b][v] lists, in insertion order, the comments whose band b
+	// equals v. Each table has one slot per band value, so a probe is an
+	// index, not a hash; tables are allocated at the first indexed comment.
+	buckets [numBands][][]int32
 
 	dupParent   []int32 // duplicate-tier union-find (micro-clusters)
 	storyParent []int32 // story-tier union-find (stories)
@@ -55,27 +65,22 @@ type Index struct {
 	pending []edge // story-tier-only edges awaiting the batch merge pass
 
 	clusters map[int32]*cluster // story-tier roots with >= 2 members
-	touched  map[int32]bool     // roots whose cluster changed since the last materialize
-	dead     map[int32]bool     // roots merged away since the last materialize
+	// changed lists (with repeats) the roots on either side of every
+	// story-tier union since the last materialize: the only stories that
+	// can differ from the previous StorySet.
+	changed []int32
 
 	corrBySource []int // indexed comments per source
 	dupBySource  []int // duplicate comments per source
 
 	stories *StorySet // last materialized snapshot
+
+	words []word // tokenizer scratch, reused across inserts
 }
 
 // NewIndex returns an empty index.
 func NewIndex() *Index {
-	ix := &Index{
-		clusters: map[int32]*cluster{},
-		touched:  map[int32]bool{},
-		dead:     map[int32]bool{},
-		stories:  emptyStorySet(),
-	}
-	for b := range ix.buckets {
-		ix.buckets[b] = map[uint16][]int32{}
-	}
-	return ix
+	return &Index{clusters: map[int32]*cluster{}, stories: &StorySet{}}
 }
 
 // Stats summarises the index for tests and dashboards.
@@ -177,9 +182,8 @@ func (ix *Index) fold(w *webgen.World, coms []newComment) *StorySet {
 		ix.corrBySource = append(ix.corrBySource, make([]int, n-len(ix.corrBySource))...)
 		ix.dupBySource = append(ix.dupBySource, make([]int, n-len(ix.dupBySource))...)
 	}
-	seen := map[int32]struct{}{}
 	for _, nc := range coms {
-		ix.insert(nc, seen)
+		ix.insert(nc)
 	}
 	// Batch merge pass: fold the buffered loose-tier edges into the story
 	// union-find. Union order cannot influence the result — roots are
@@ -194,40 +198,47 @@ func (ix *Index) fold(w *webgen.World, coms []newComment) *StorySet {
 
 // insert hashes one comment, probes the banded buckets for candidates,
 // writes the duplicate verdict and the union-find edges, and registers
-// the comment in the buckets. seen is a caller-owned scratch set, cleared
-// per insertion.
-func (ix *Index) insert(nc newComment, seen map[int32]struct{}) {
-	if int(nc.id) < len(ix.entries) && (ix.entries[nc.id].indexed || ix.entries[nc.id].source != 0 || ix.entries[nc.id].sig != 0) {
+// the comment in the buckets.
+func (ix *Index) insert(nc newComment) {
+	if int(nc.id) < len(ix.entries) && ix.entries[nc.id].present {
 		panic(fmt.Sprintf("correlate: comment %d inserted twice", nc.id))
 	}
 	for int(nc.id) >= len(ix.entries) {
 		ix.entries = append(ix.entries, comEntry{})
+		ix.sigs = append(ix.sigs, 0)
+		ix.stamp = append(ix.stamp, 0)
 		ix.dupParent = append(ix.dupParent, int32(len(ix.dupParent)))
 		ix.storyParent = append(ix.storyParent, int32(len(ix.storyParent)))
 	}
 	e := &ix.entries[nc.id]
-	e.source, e.disc, e.posted = nc.source, nc.disc, nc.posted
+	e.source, e.disc, e.posted, e.present = nc.source, nc.disc, nc.posted, true
 	if nc.body == "" {
 		return // nothing to correlate; stays un-indexed and uncounted
 	}
-	e.sig = Simhash(nc.body)
+	ix.words = tokenize(nc.body, ix.words[:0])
+	sig := simhash(nc.body, ix.words)
+	ix.sigs[nc.id] = sig
 	e.indexed = true
 
-	clear(seen)
+	if ix.buckets[0] == nil {
+		for b := range ix.buckets {
+			ix.buckets[b] = make([][]int32, 1<<bandBits)
+		}
+	}
 	for b := 0; b < numBands; b++ {
-		key := band(e.sig, b)
+		table, key := ix.buckets[b], band(sig, b)
 		// Multi-probe: the exact band value plus every single-bit
 		// variation. Signatures register only under exact values, so two
 		// signatures whose band differs by <= 1 bit still meet — the
 		// probe set that makes duplicate-tier recall a pigeonhole
 		// guarantee (see the parameter block in simhash.go).
-		ix.probe(b, key, e, nc.id, seen)
+		ix.probe(table[key], sig, nc.id, e)
 		for bit := 0; bit < bandBits; bit++ {
-			ix.probe(b, key^(1<<uint(bit)), e, nc.id, seen)
+			ix.probe(table[key^(1<<uint(bit))], sig, nc.id, e)
 		}
 	}
 	for b := 0; b < numBands; b++ {
-		key := band(e.sig, b)
+		key := band(sig, b)
 		ix.buckets[b][key] = append(ix.buckets[b][key], nc.id)
 	}
 	ix.corrBySource[nc.source]++
@@ -236,22 +247,21 @@ func (ix *Index) insert(nc newComment, seen map[int32]struct{}) {
 	}
 }
 
-// probe scans one band bucket for candidates of the comment being
-// inserted, writing duplicate verdicts and union-find edges for every
-// in-tier hit. seen dedupes candidates across the insertion's 68 probes.
-func (ix *Index) probe(b int, key uint16, e *comEntry, id int32, seen map[int32]struct{}) {
-	for _, cand := range ix.buckets[b][key] {
-		if _, dup := seen[cand]; dup {
+// probe scans one band bucket for candidates of comment id (signature
+// sig, entry e), writing duplicate verdicts and union-find edges for every
+// in-tier hit. The stamp column dedupes in-tier hits across the
+// insertion's 68 probes; out-of-tier candidates have no effect, so they
+// are rejected on the signature column alone.
+func (ix *Index) probe(bucket []int32, sig uint64, id int32, e *comEntry) {
+	mark := id + 1
+	for _, cand := range bucket {
+		h := hamming(sig, ix.sigs[cand])
+		if h > StoryHamming || ix.stamp[cand] == mark {
 			continue
 		}
-		seen[cand] = struct{}{}
-		ce := &ix.entries[cand]
-		h := hamming(e.sig, ce.sig)
-		if h > StoryHamming {
-			continue
-		}
+		ix.stamp[cand] = mark
 		if h <= DupHamming {
-			if !e.dup && ce.source != e.source {
+			if !e.dup && ix.entries[cand].source != e.source {
 				e.dup = true
 			}
 			ix.dupUnion(id, cand)
@@ -328,11 +338,7 @@ func (ix *Index) storyUnion(a, b int32) {
 		win.latest = maxI64(win.latest, lose.latest)
 		delete(ix.clusters, rb)
 	}
-	ix.touched[ra] = true
-	if ix.touched[rb] {
-		delete(ix.touched, rb)
-	}
-	ix.dead[rb] = true
+	ix.changed = append(ix.changed, ra, rb)
 }
 
 // insertSource adds a source ID to a sorted-unique set.

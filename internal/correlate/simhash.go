@@ -22,12 +22,13 @@
 //informer:deterministic
 package correlate
 
-import "strings"
+import "math/bits"
 
 // Simhash parameters. 64-bit signatures are cut into 4 bands of 16 bits
 // and candidate lookup is multi-probe: each band bucket is probed at its
-// exact value and at every single-bit variation (4 x 17 = 68 O(1) map
-// probes), while a signature registers only under its exact band values.
+// exact value and at every single-bit variation (4 x 17 = 68 probes, each
+// an index into a flat per-band table with one slot per 16-bit value),
+// while a signature registers only under its exact band values.
 // By pigeonhole, two signatures within Hamming distance 7 have some band
 // differing in at most one bit, so the probe set finds every candidate
 // at the duplicate tier (<= 6) with guaranteed recall. The looser story
@@ -52,81 +53,89 @@ const (
 	StoryHamming = 12
 )
 
-// fnv64a hashes one shingle (FNV-1a, inlined to avoid per-shingle
-// allocations in the hot Build/Fold path).
-func fnv64a(parts []string) uint64 {
+// word is one token of a text: the bytes text[start:end].
+type word struct{ start, end int }
+
+// fnv64a hashes one shingle — its words lowercased and joined by single
+// spaces — with FNV-1a, reading the bytes straight from the text so the
+// hot Build/Fold path builds no strings.
+func fnv64a(text string, words []word) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
 	h := uint64(offset64)
-	for i, p := range parts {
+	for i, w := range words {
 		if i > 0 {
 			h ^= ' '
 			h *= prime64
 		}
-		for j := 0; j < len(p); j++ {
-			h ^= uint64(p[j])
+		for j := w.start; j < w.end; j++ {
+			c := text[j]
+			if c >= 'A' && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			h ^= uint64(c)
 			h *= prime64
 		}
 	}
 	return h
 }
 
-// tokenize lowercases and splits text into word tokens (letters and
-// digits; everything else separates).
-func tokenize(text string) []string {
-	words := make([]string, 0, 32)
+// tokenize appends text's word tokens (runs of ASCII letters and digits;
+// everything else separates) to buf.
+func tokenize(text string, buf []word) []word {
 	start := -1
-	flush := func(end int) {
-		if start >= 0 {
-			words = append(words, strings.ToLower(text[start:end]))
-			start = -1
-		}
-	}
 	for i := 0; i < len(text); i++ {
 		c := text[i]
-		alnum := c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9'
-		if alnum {
+		if c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' {
 			if start < 0 {
 				start = i
 			}
-		} else {
-			flush(i)
+		} else if start >= 0 {
+			buf = append(buf, word{start, i})
+			start = -1
 		}
 	}
-	flush(len(text))
-	return words
+	if start >= 0 {
+		buf = append(buf, word{start, len(text)})
+	}
+	return buf
 }
 
 // Simhash computes the 64-bit simhash of a text over word shingles of
-// shingleSize. Texts shorter than one shingle hash as a single shingle of
-// whatever words they have; the empty text hashes to 0.
+// shingleSize, case-insensitively. Texts shorter than one shingle hash as
+// a single shingle of whatever words they have; the empty text hashes to 0.
 func Simhash(text string) uint64 {
-	words := tokenize(text)
+	return simhash(text, tokenize(text, nil))
+}
+
+// simhash is Simhash over text's already tokenized words.
+func simhash(text string, words []word) uint64 {
 	if len(words) == 0 {
 		return 0
 	}
-	var counts [64]int32
+	// Bit b of the signature is set iff more shingle hashes have it set
+	// than clear: ones[b] > shingles - ones[b]. Counting ones alone keeps
+	// the per-shingle loop branch-free.
+	var ones [64]int32
 	accumulate := func(h uint64) {
 		for b := 0; b < 64; b++ {
-			if h&(1<<uint(b)) != 0 {
-				counts[b]++
-			} else {
-				counts[b]--
-			}
+			ones[b] += int32(h >> uint(b) & 1)
 		}
 	}
+	shingles := int32(1)
 	if len(words) < shingleSize {
-		accumulate(fnv64a(words))
+		accumulate(fnv64a(text, words))
 	} else {
+		shingles = int32(len(words) - shingleSize + 1)
 		for i := 0; i+shingleSize <= len(words); i++ {
-			accumulate(fnv64a(words[i : i+shingleSize]))
+			accumulate(fnv64a(text, words[i:i+shingleSize]))
 		}
 	}
 	var sig uint64
 	for b := 0; b < 64; b++ {
-		if counts[b] > 0 {
+		if 2*ones[b] > shingles {
 			sig |= 1 << uint(b)
 		}
 	}
@@ -134,15 +143,7 @@ func Simhash(text string) uint64 {
 }
 
 // hamming counts differing bits between two signatures.
-func hamming(a, b uint64) int {
-	x := a ^ b
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
-}
+func hamming(a, b uint64) int { return bits.OnesCount64(a ^ b) }
 
 // band extracts the i-th 16-bit band of a signature.
 func band(sig uint64, i int) uint16 {

@@ -30,12 +30,8 @@ type Story struct {
 //
 //informer:snapshot
 type StorySet struct {
-	byID    map[int]*Story
+	byID    []*Story // ID asc
 	ordered []*Story // Latest desc, ID asc
-}
-
-func emptyStorySet() *StorySet {
-	return &StorySet{byID: map[int]*Story{}}
 }
 
 // Len reports the number of stories.
@@ -51,8 +47,11 @@ func (ss *StorySet) Story(id int) (*Story, bool) {
 	if ss == nil {
 		return nil, false
 	}
-	st, ok := ss.byID[id]
-	return st, ok
+	i := sort.Search(len(ss.byID), func(i int) bool { return ss.byID[i].ID >= id })
+	if i == len(ss.byID) || ss.byID[i].ID != id {
+		return nil, false
+	}
+	return ss.byID[i], true
 }
 
 // All returns the stories ordered by freshness (Latest desc, ID asc).
@@ -132,53 +131,73 @@ func (ss *StorySet) Query(q StoryQuery) *StoryPage {
 	return page
 }
 
-// materialize publishes the next StorySet from the index's touched/dead
-// root bookkeeping, sharing untouched stories with prev, then resets the
-// bookkeeping. Member source sets are already sorted; the ordered slice
-// is fully re-sorted (story counts are small — hundreds, not hundreds of
-// thousands).
+// materialize publishes the next StorySet from the roots changed since
+// the last call, sharing every other story with prev by pointer, then
+// resets the bookkeeping. Member source sets are already sorted. Both
+// orderings are spliced, not re-sorted: the changed roots' old stories
+// are dropped from prev's slices in one linear pass while their rebuilt
+// stories, sorted on their own, are merged in — O(stories) pointer copies
+// plus O(changed log changed) comparisons per fold.
 //
 //informer:mutates builds the successor snapshot before it is published
 func (ix *Index) materialize(prev *StorySet) *StorySet {
-	if len(ix.touched) == 0 && len(ix.dead) == 0 {
+	if len(ix.changed) == 0 {
 		return prev
 	}
-	next := &StorySet{byID: make(map[int]*Story, len(prev.byID))}
-	for id, st := range prev.byID {
-		next.byID[id] = st
-	}
-	for r := range ix.dead {
-		delete(next.byID, int(r))
-	}
-	for r := range ix.touched {
-		if ix.dead[r] {
+	roots := ix.changed
+	sort.Slice(roots, func(i, j int) bool { return roots[i] < roots[j] })
+	var drop, add []*Story // both ID asc
+	for i, r := range roots {
+		if i > 0 && r == roots[i-1] {
 			continue
 		}
-		cl := ix.clusters[r]
-		if cl == nil || len(cl.sources) < 2 {
-			// Touched but single-source (e.g. a source near-duplicating
-			// itself): a cluster, not a story.
-			delete(next.byID, int(r))
-			continue
+		if st, ok := prev.Story(int(r)); ok {
+			drop = append(drop, st)
 		}
-		next.byID[int(r)] = ix.buildStory(r, cl)
-	}
-	next.ordered = make([]*Story, 0, len(next.byID))
-	for _, st := range next.byID {
-		next.ordered = append(next.ordered, st)
-	}
-	// Map-range order above is scheduling-dependent; the sort below is
-	// total (Latest desc, then ID asc), so no map order escapes.
-	sort.Slice(next.ordered, func(i, j int) bool {
-		a, b := next.ordered[i], next.ordered[j]
-		if !a.Latest.Equal(b.Latest) {
-			return a.Latest.After(b.Latest)
+		if ix.storyParent[r] != r {
+			continue // merged away since the last materialize
 		}
-		return a.ID < b.ID
-	})
-	ix.touched = map[int32]bool{}
-	ix.dead = map[int32]bool{}
+		// A changed root whose cluster spans one source (a source
+		// near-duplicating itself) is a cluster, not a story.
+		if cl := ix.clusters[r]; cl != nil && len(cl.sources) >= 2 {
+			add = append(add, ix.buildStory(r, cl))
+		}
+	}
+	ix.changed = ix.changed[:0]
+	next := &StorySet{byID: splice(prev.byID, drop, add, idLess)}
+	sort.Slice(drop, func(i, j int) bool { return listingLess(drop[i], drop[j]) })
+	sort.Slice(add, func(i, j int) bool { return listingLess(add[i], add[j]) })
+	next.ordered = splice(prev.ordered, drop, add, listingLess)
 	return next
+}
+
+func idLess(a, b *Story) bool { return a.ID < b.ID }
+
+// listingLess is the freshness order: Latest desc, then ID asc. It is
+// total, so the listing never depends on fold order.
+func listingLess(a, b *Story) bool {
+	if c := a.Latest.Compare(b.Latest); c != 0 {
+		return c > 0
+	}
+	return a.ID < b.ID
+}
+
+// splice returns base without the stories in drop, with add merged in.
+// base, drop and add are all sorted by less, and drop is a subset of base.
+func splice(base, drop, add []*Story, less func(a, b *Story) bool) []*Story {
+	out := make([]*Story, 0, len(base)-len(drop)+len(add))
+	for _, st := range base {
+		if len(drop) > 0 && st == drop[0] {
+			drop = drop[1:]
+			continue
+		}
+		for len(add) > 0 && less(add[0], st) {
+			out = append(out, add[0])
+			add = add[1:]
+		}
+		out = append(out, st)
+	}
+	return append(out, add...)
 }
 
 // buildStory renders a cluster rooted at r as its immutable Story. The
