@@ -43,8 +43,16 @@ func assertCorpusEquals(t *testing.T, inc, full *Corpus) {
 			t.Fatalf("benchmark %s: %+v vs %+v", m.ID, bi, bf)
 		}
 	}
-	if !reflect.DeepEqual(inc.state.Load().env.SourceScores, full.state.Load().env.SourceScores) {
-		t.Fatal("source score joins differ")
+	ienv, fenv := inc.state.Load().env, full.state.Load().env
+	if len(ienv.SourceRecords) != len(fenv.SourceRecords) {
+		t.Fatalf("source score joins differ in length: %d vs %d", len(ienv.SourceRecords), len(fenv.SourceRecords))
+	}
+	for _, r := range fenv.SourceRecords {
+		si, iok := ienv.SourceScore(r.ID)
+		sf, fok := fenv.SourceScore(r.ID)
+		if iok != fok || si != sf {
+			t.Fatalf("source score join differs for source %d: %v/%v vs %v/%v", r.ID, si, iok, sf, fok)
+		}
 	}
 	si, sf := inc.SentimentByCategory(), full.SentimentByCategory()
 	if !reflect.DeepEqual(si, sf) {

@@ -12,11 +12,11 @@ import (
 // last published snapshot until DrainTick.
 type ingestion struct {
 	acc *ingest.Accumulator
-	// cursor supplies fresh discussion/comment IDs to AdvanceSource
-	// without re-scanning the world per poll. cursorWorld is the world the
-	// cursor is synced with: whenever the next tick departs from any other
-	// world (a global Advance intervened, or the cursor is fresh), the
-	// cursor is re-scanned before use.
+	// cursor supplies fresh discussion/comment IDs to AdvanceSource.
+	// cursorWorld is the world the cursor is synced with: whenever the
+	// next tick departs from any other world (a global Advance
+	// intervened, or the cursor is fresh), a new cursor is taken from
+	// that world's carried ID frontier before use.
 	cursor      *webgen.IDCursor
 	cursorWorld *webgen.World
 }

@@ -159,8 +159,8 @@ func (a *SourceAssessor) Benchmark(id string) (Benchmark, bool) {
 // BenchmarksEqual reports whether this assessor's normalisation intervals
 // are bitwise identical to prev's. When true, any record whose raw
 // observations did not change assesses to exactly the same result under
-// both assessors — the licence for reusing a clean row's Assessment by
-// reference across an Advance (and likewise an influencer roster entry).
+// both assessors — the licence for carrying a clean row's result across
+// a tick (an influencer roster entry, a score-block row).
 func (a *SourceAssessor) BenchmarksEqual(prev *SourceAssessor) bool {
 	return benchmarkMapsEqual(a.benchmarks, prev.benchmarks)
 }
@@ -183,6 +183,14 @@ func (a *SourceAssessor) AssessAll(records []*SourceRecord) []*Assessment {
 // for determinism).
 func (a *SourceAssessor) Rank(records []*SourceRecord) []*Assessment {
 	return a.engine.rank(records)
+}
+
+// ScoreOf returns the overall score of the corpus record with the given
+// ID — Assess(r).Score without building the Assessment: the engine keeps
+// every row's score in its score block, routed by ID. ok is false for IDs
+// outside the corpus.
+func (a *SourceAssessor) ScoreOf(id int) (score float64, ok bool) {
+	return a.engine.scoreOf(id)
 }
 
 // UpdateRows derives a new assessor for an incrementally advanced corpus

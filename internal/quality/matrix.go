@@ -55,6 +55,7 @@ type engineAPI[R any] interface {
 	window(records []*R, sp *Spine, q Query) (*QueryResult, error)
 	repairSpine(records []*R, prev *Spine, q Query, keep func(*R) bool, spamIdx []int) (*Spine, bool)
 	update(corpus []*R, dirty []int, epochMoved bool) engineAPI[R]
+	scoreOf(id int) (float64, bool)
 	shardCount() int
 	spineStats() *spineCounters
 }
@@ -111,6 +112,11 @@ type matrixEngine[R any] struct {
 	nRecords int
 	recs     []*R       // the corpus the engine was built (or last derived) over
 	col      map[*R]int // corpus record -> matrix column; never mutated after construction, so derivations with identical record pointers share it
+	// ids maps a record ID to its matrix column on a whole engine (shard
+	// members route IDs through the coordinator's map instead and leave it
+	// nil). IDs never move while the corpus keeps its shape, so
+	// derivations share it.
+	ids map[int]int
 	// vals[m][c] / present[m][c]: the raw value of measure m on record c
 	// and whether the measure is defined there, stored measure-major. Rows
 	// are immutable once an engine is published: derive shares every row
@@ -128,6 +134,12 @@ type matrixEngine[R any] struct {
 	// Shard-member engines leave it nil: their benchmarks come from the
 	// corpus-global ledger (shard.go), which owns the sorted columns.
 	sorted [][]float64
+
+	// cell holds every row's score and per-axis averages under the
+	// engine's benchmarks (block.go), computed on first read through
+	// scores() once the benchmarks are final. Every query, spine repair
+	// and materialization reads it.
+	cell *blockCell
 
 	// Incremental-update provenance, read by repairSpine: the rows the
 	// producing update dirtied, whether its tick moved the observation
@@ -174,6 +186,12 @@ func newMatrixEngine[R any](
 			e.benchmarks[m] = benchmarkFromPresorted(values, opts)
 		}
 	})
+	e.ids = make(map[int]int, nr)
+	for c, r := range corpus {
+		id, _ := ident(r)
+		e.ids[id] = c
+	}
+	e.cell = &blockCell{}
 	return e
 }
 
@@ -398,6 +416,7 @@ func (e *matrixEngine[R]) updateRows(corpus []*R, dirty []int, epochMoved bool) 
 		}
 	})
 	ne.benchChanged = !benchmarksEqual(e.benchmarks, ne.benchmarks)
+	ne.refreshBlock(e.cell, dirty, epochMoved || ne.benchChanged)
 	return ne
 }
 
@@ -456,6 +475,7 @@ func (e *matrixEngine[R]) derive(corpus []*R, dirty []int, epochMoved bool) *mat
 		attOff: e.attOff, nAtts: e.nAtts,
 		nRecords:       e.nRecords,
 		recs:           corpus,
+		ids:            e.ids,
 		vals:           append([][]float64(nil), e.vals...),
 		present:        append([][]bool(nil), e.present...),
 		lastDirty:      dirty,
@@ -504,11 +524,11 @@ func (e *matrixEngine[R]) shareOrRebuildCol(corpus []*R) map[*R]int {
 }
 
 // remap returns a shallow derivation of a clean shard-member engine for
-// the current round's record pointers: matrix, sorted columns and weights
-// are shared (the shard's content did not change, so they are still
-// exact), the record→column map is shared or rebuilt depending on whether
-// the pointers actually moved, and the corpus-global benchmark slice
-// swapped in. The receiver keeps serving readers of the previous snapshot
+// the current round's record pointers: matrix, sorted columns, weights
+// and score block are shared (the shard's content did not change, so they
+// are still exact while the benchmarks hold), the record→column map is
+// shared or rebuilt depending on whether the pointers actually moved, and
+// the corpus-global benchmark slice swapped in. The receiver keeps serving readers of the previous snapshot
 // untouched.
 //
 //informer:mutates fills the derived successor engine before it is published
@@ -544,10 +564,9 @@ func (e *matrixEngine[R]) forEachChunk(n int, fn func(lo, hi int)) {
 }
 
 // assess builds the public Assessment for one record. Corpus records are
-// served from the matrix; unknown records fall back to evaluating the
-// catalogue directly (still once per call). The arithmetic — accumulation
-// order, weighting, per-axis averaging — mirrors the historical sequential
-// implementation exactly, so scores are bit-for-bit reproducible.
+// served from the matrix and the score block; unknown records fall back to
+// evaluating the catalogue directly (still once per call) through the same
+// one-row aggregation, so scores are bit-for-bit reproducible either way.
 func (e *matrixEngine[R]) assess(r *R) *Assessment {
 	return e.assessProject(r, ProjectFull)
 }
@@ -555,94 +574,65 @@ func (e *matrixEngine[R]) assess(r *R) *Assessment {
 // assessProject is assess with a projection: ProjectScores skips the
 // per-measure Raw/Normalized maps (the query serving path).
 func (e *matrixEngine[R]) assessProject(r *R, fields Projection) *Assessment {
-	nm := len(e.infos)
-
-	raw := make([]float64, nm)
-	def := make([]bool, nm)
-	if c, cached := e.col[r]; cached {
-		for m := 0; m < nm; m++ {
-			raw[m] = e.vals[m][c]
-			def[m] = e.present[m][c]
-		}
-	} else {
-		for m := range e.evals {
-			raw[m], def[m] = e.evals[m](r, &e.di)
-		}
+	c := e.colOf(r, -1)
+	var buf *leanBuf
+	if c < 0 {
+		buf = e.newLeanBuf()
 	}
-
-	norm := make([]float64, nm)
-	// Stock catalogues index straight into the stack arrays; engines with
-	// out-of-enum extension measures spill to heap slices of the right size.
-	var dimSumArr, dimNArr [numDimensions]float64
-	var attSumArr, attNArr [numAttributes]float64
-	dimSum, dimN := dimSumArr[:], dimNArr[:]
-	attSum, attN := attSumArr[:], attNArr[:]
-	if e.nDims > numDimensions {
-		dimSum, dimN = make([]float64, e.nDims), make([]float64, e.nDims)
-	}
-	if e.nAtts > numAttributes {
-		attSum, attN = make([]float64, e.nAtts), make([]float64, e.nAtts)
-	}
-	var wSum, wTotal float64
-	defined := 0
-	for m := 0; m < nm; m++ {
-		if !def[m] {
-			continue
-		}
-		defined++
-		info := &e.infos[m]
-		n := e.benchmarks[m].Normalize(raw[m], info.higherIsBetter)
-		norm[m] = n
-		w := e.weights[m]
-		wSum += w * n
-		wTotal += w
-		d := int(info.dimension) + e.dimOff
-		dimSum[d] += n
-		dimN[d]++
-		at := int(info.attribute) + e.attOff
-		attSum[at] += n
-		attN[at]++
-	}
+	blk, i := e.rowScores(r, c, buf)
 
 	id, name := e.ident(r)
-	out := &Assessment{ID: id, Name: name}
+	out := &Assessment{ID: id, Name: name, Score: blk.score[i]}
 	if fields == ProjectFull {
+		defined := 0
+		for m := range e.infos {
+			if _, _, ok := e.measureAt(c, m, buf); ok {
+				defined++
+			}
+		}
 		out.Raw = make(map[string]float64, defined)
 		out.Normalized = make(map[string]float64, defined)
-		for m := 0; m < nm; m++ {
-			if def[m] {
-				out.Raw[e.infos[m].id] = raw[m]
-				out.Normalized[e.infos[m].id] = norm[m]
+		for m := range e.infos {
+			if raw, norm, ok := e.measureAt(c, m, buf); ok {
+				out.Raw[e.infos[m].id] = raw
+				out.Normalized[e.infos[m].id] = norm
 			}
 		}
 	}
-	if wTotal > 0 {
-		out.Score = wSum / wTotal
-	}
 	nDim, nAtt := 0, 0
-	for d := range dimN {
-		if dimN[d] > 0 {
+	for d := 0; d < e.nDims; d++ {
+		if _, ok := blk.dimAt(d, i); ok {
 			nDim++
 		}
 	}
-	for at := range attN {
-		if attN[at] > 0 {
+	for at := 0; at < e.nAtts; at++ {
+		if _, ok := blk.attAt(at, i); ok {
 			nAtt++
 		}
 	}
 	out.DimensionScores = make(map[Dimension]float64, nDim)
-	for d := range dimN {
-		if dimN[d] > 0 {
-			out.DimensionScores[Dimension(d-e.dimOff)] = dimSum[d] / dimN[d]
+	for d := 0; d < e.nDims; d++ {
+		if v, ok := blk.dimAt(d, i); ok {
+			out.DimensionScores[Dimension(d-e.dimOff)] = v
 		}
 	}
 	out.AttributeScores = make(map[Attribute]float64, nAtt)
-	for at := range attN {
-		if attN[at] > 0 {
-			out.AttributeScores[Attribute(at-e.attOff)] = attSum[at] / attN[at]
+	for at := 0; at < e.nAtts; at++ {
+		if v, ok := blk.attAt(at, i); ok {
+			out.AttributeScores[Attribute(at-e.attOff)] = v
 		}
 	}
 	return out
+}
+
+// scoreOf reads the overall score of the corpus record with the given ID
+// straight from the block.
+func (e *matrixEngine[R]) scoreOf(id int) (float64, bool) {
+	c, ok := e.ids[id]
+	if !ok {
+		return 0, false
+	}
+	return e.scores().score[c], true
 }
 
 // assessAll assesses records in input order with the worker pool; the

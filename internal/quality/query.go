@@ -319,77 +319,6 @@ func stringSet(xs []string) map[string]bool {
 	return s
 }
 
-// leanBuf holds the reusable scratch of the lean (map-free) evaluation of
-// one record during a query scan. Reusing one buffer across the scan keeps
-// the filter-and-rank pass allocation-free.
-type leanBuf struct {
-	raw            []float64
-	def            []bool
-	norm           []float64
-	dimSum, dimCnt []float64
-	attSum, attCnt []float64
-	score          float64
-}
-
-func (e *matrixEngine[R]) newLeanBuf() *leanBuf {
-	nm := len(e.infos)
-	return &leanBuf{
-		raw:    make([]float64, nm),
-		def:    make([]bool, nm),
-		norm:   make([]float64, nm),
-		dimSum: make([]float64, e.nDims),
-		dimCnt: make([]float64, e.nDims),
-		attSum: make([]float64, e.nAtts),
-		attCnt: make([]float64, e.nAtts),
-	}
-}
-
-// leanEval computes one record's score, axis accumulators and normalized
-// values into b without building any maps. The arithmetic — accumulation
-// order, weighting, normalisation — is exactly assessProject's, so every
-// number a query filters or sorts on is bit-identical to the materialized
-// Assessment.
-func (e *matrixEngine[R]) leanEval(r *R, b *leanBuf) {
-	nm := len(e.infos)
-	if c, cached := e.col[r]; cached {
-		for m := 0; m < nm; m++ {
-			b.raw[m] = e.vals[m][c]
-			b.def[m] = e.present[m][c]
-		}
-	} else {
-		for m := range e.evals {
-			b.raw[m], b.def[m] = e.evals[m](r, &e.di)
-		}
-	}
-	for i := range b.dimSum {
-		b.dimSum[i], b.dimCnt[i] = 0, 0
-	}
-	for i := range b.attSum {
-		b.attSum[i], b.attCnt[i] = 0, 0
-	}
-	var wSum, wTotal float64
-	for m := 0; m < nm; m++ {
-		if !b.def[m] {
-			b.norm[m] = 0
-			continue
-		}
-		info := &e.infos[m]
-		n := e.benchmarks[m].Normalize(b.raw[m], info.higherIsBetter)
-		b.norm[m] = n
-		w := e.weights[m]
-		wSum += w * n
-		wTotal += w
-		b.dimSum[int(info.dimension)+e.dimOff] += n
-		b.dimCnt[int(info.dimension)+e.dimOff]++
-		b.attSum[int(info.attribute)+e.attOff] += n
-		b.attCnt[int(info.attribute)+e.attOff]++
-	}
-	b.score = 0
-	if wTotal > 0 {
-		b.score = wSum / wTotal
-	}
-}
-
 // leanCand is one match surviving the predicates: its sort key and the
 // identifiers needed to rank and materialize it.
 type leanCand struct {
@@ -495,27 +424,32 @@ func (e *matrixEngine[R]) resolveQuery(q Query) (*resolvedQuery, error) {
 // using buf as scratch. When the record matches, its ranked candidate —
 // sort key, record ID, row index — is returned with ok true. This is the
 // per-record body of every scan, repair and re-evaluation path, so each of
-// them filters and ranks with bit-identical arithmetic.
-func (e *matrixEngine[R]) evalCand(r *R, row int, q Query, rq *resolvedQuery, keep func(*R) bool, spamIdx []int, buf *leanBuf) (leanCand, bool) {
+// them filters and ranks with bit-identical arithmetic. Corpus records
+// read their score and axis averages from the block (local is the
+// record's index in the engine's corpus, -1 when unknown) and normalise
+// only the measures a predicate names; records outside the corpus are
+// evaluated directly.
+func (e *matrixEngine[R]) evalCand(r *R, local, row int, q Query, rq *resolvedQuery, keep func(*R) bool, spamIdx []int, buf *leanBuf) (leanCand, bool) {
 	if keep != nil && !keep(r) {
 		return leanCand{}, false
 	}
-	e.leanEval(r, buf)
-	if buf.score < q.MinScore {
+	c := e.colOf(r, local)
+	blk, i := e.rowScores(r, c, buf)
+	if blk.score[i] < q.MinScore {
 		return leanCand{}, false
 	}
 	for _, th := range rq.minDim {
-		if buf.dimCnt[th.idx] == 0 || buf.dimSum[th.idx]/buf.dimCnt[th.idx] < th.v {
+		if v, ok := blk.dimAt(th.idx, i); !ok || v < th.v {
 			return leanCand{}, false
 		}
 	}
 	for _, th := range rq.minAtt {
-		if buf.attCnt[th.idx] == 0 || buf.attSum[th.idx]/buf.attCnt[th.idx] < th.v {
+		if v, ok := blk.attAt(th.idx, i); !ok || v < th.v {
 			return leanCand{}, false
 		}
 	}
 	for _, th := range rq.minMeasure {
-		if !buf.def[th.m] || buf.norm[th.m] < th.v {
+		if _, n, ok := e.measureAt(c, th.m, buf); !ok || n < th.v {
 			return leanCand{}, false
 		}
 	}
@@ -523,8 +457,8 @@ func (e *matrixEngine[R]) evalCand(r *R, row int, q Query, rq *resolvedQuery, ke
 		var sum float64
 		n := 0
 		for _, m := range spamIdx {
-			if buf.def[m] {
-				sum += buf.norm[m]
+			if _, v, ok := e.measureAt(c, m, buf); ok {
+				sum += v
 				n++
 			}
 		}
@@ -532,25 +466,19 @@ func (e *matrixEngine[R]) evalCand(r *R, row int, q Query, rq *resolvedQuery, ke
 			return leanCand{}, false
 		}
 	}
-	key := buf.score
+	key := blk.score[i]
 	switch {
 	case rq.sortDim >= 0:
-		key = 0
-		if buf.dimCnt[rq.sortDim] > 0 {
-			key = buf.dimSum[rq.sortDim] / buf.dimCnt[rq.sortDim]
-		}
+		key, _ = blk.dimAt(rq.sortDim, i)
 	case rq.sortAtt >= 0:
-		key = 0
-		if buf.attCnt[rq.sortAtt] > 0 {
-			key = buf.attSum[rq.sortAtt] / buf.attCnt[rq.sortAtt]
-		}
+		key, _ = blk.attAt(rq.sortAtt, i)
 	}
 	id, _ := e.ident(r)
 	return leanCand{key: key, id: id, row: row}, true
 }
 
 // scanMatches is the lean pass shared by rankTopK and spine: predicates
-// and sort keys straight off the cached matrix, no maps, no Assessment
+// and sort keys straight off the score block, no maps, no Assessment
 // structs. Every match counts toward total; when collect is set, the
 // candidates ranking strictly after the after-bound are kept — all of
 // them when bound == 0, the best `bound` through a min-heap otherwise.
@@ -569,7 +497,7 @@ func (e *matrixEngine[R]) scanMatches(records []*R, rowOff int, q Query, rq *res
 	}
 	total := 0
 	for i, r := range records {
-		c, ok := e.evalCand(r, rowOff+i, q, rq, keep, spamIdx, buf)
+		c, ok := e.evalCand(r, i, rowOff+i, q, rq, keep, spamIdx, buf)
 		if !ok {
 			continue
 		}
@@ -696,10 +624,12 @@ func (e *matrixEngine[R]) rankTopK(records []*R, q Query, keep func(*R) bool, sp
 	if err != nil {
 		return nil, err
 	}
-	if rq.unmatchable {
-		return &QueryResult{Items: []*Assessment{}}, nil
-	}
 	p := planScan(q)
+	if rq.unmatchable {
+		// No record can match; report the requested window's start like
+		// Window over the (empty) spine does.
+		return windowResult([]*Assessment{}, nil, p.start, 0, q), nil
+	}
 	cands, total := e.scanMatches(records, 0, q, rq, keep, spamIdx, p.after, p.bound, p.collect)
 
 	// Rank the survivors best-first (k log k — tiny in the bounded case).
@@ -793,7 +723,7 @@ func (e *matrixEngine[R]) repairCands(records []*R, rowOff int, dirtyLocal []int
 		if row < 0 || row >= len(records) {
 			continue
 		}
-		c, ok := e.evalCand(records[row], row, q, rq, keep, spamIdx, buf)
+		c, ok := e.evalCand(records[row], c0, row, q, rq, keep, spamIdx, buf)
 		if !ok {
 			continue
 		}

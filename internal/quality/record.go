@@ -1,6 +1,9 @@
 package quality
 
-import "time"
+import (
+	"sort"
+	"time"
+)
 
 // CommentStat is the per-comment observation a measure can see.
 type CommentStat struct {
@@ -84,15 +87,28 @@ func (r *SourceRecord) TotalComments() int {
 	return n
 }
 
-// DistinctCommenters counts distinct comment authors.
+// DistinctCommenters counts distinct comment authors: the author IDs are
+// gathered into one slice, sorted, and counted by runs — no hash set, and
+// no allocation at all for records with few comments.
 func (r *SourceRecord) DistinctCommenters() int {
-	seen := map[int]bool{}
+	var small [64]int
+	authors := small[:0]
+	if n := r.TotalComments(); n > len(small) {
+		authors = make([]int, 0, n)
+	}
 	for _, d := range r.Discussions {
 		for _, c := range d.Comments {
-			seen[c.AuthorID] = true
+			authors = append(authors, c.AuthorID)
 		}
 	}
-	return len(seen)
+	sort.Ints(authors)
+	n := 0
+	for i, a := range authors {
+		if i == 0 || a != authors[i-1] {
+			n++
+		}
+	}
+	return n
 }
 
 // ContributorRecord is the raw observation of one contributor, aggregated

@@ -147,6 +147,7 @@ func newShardedEngine[R any](
 	s.ledger = led
 	for _, eng := range s.engines {
 		eng.benchmarks = led.benchmarks
+		eng.cell = &blockCell{}
 	}
 	// Routing metadata and the global ID→row map.
 	rt := shard.NewRouter(ns)
@@ -216,6 +217,17 @@ func (s *shardedEngine[R]) rank(records []*R) []*Assessment {
 	return out
 }
 
+// scoreOf routes an ID to its owning shard and reads the score block.
+func (s *shardedEngine[R]) scoreOf(id int) (float64, bool) {
+	row, ok := s.col[id]
+	if !ok {
+		return 0, false
+	}
+	sh := s.plan.Of(row)
+	lo, _ := s.plan.Bounds(sh)
+	return s.engines[sh].scores().score[row-lo], true
+}
+
 func (s *shardedEngine[R]) benchmarkAt(m int) Benchmark { return s.ledger.benchmarks[m] }
 
 func (s *shardedEngine[R]) measurePos(id string) int { return s.engines[0].measurePos(id) }
@@ -238,10 +250,12 @@ func (s *shardedEngine[R]) rankTopK(records []*R, q Query, keep func(*R) bool, s
 	if err != nil {
 		return nil, err
 	}
-	if rq.unmatchable {
-		return &QueryResult{Items: []*Assessment{}}, nil
-	}
 	p := planScan(q)
+	if rq.unmatchable {
+		// No record can match; report the requested window's start like
+		// Window over the (empty) spine does.
+		return windowResult([]*Assessment{}, nil, p.start, 0, q), nil
+	}
 	parts, totals := s.scatter(records, q, rq, keep, spamIdx, p, nil)
 	merged := shard.MergeK(parts, candBetter, p.bound)
 	merged = clipWindow(merged, q, p)
@@ -442,15 +456,24 @@ func (s *shardedEngine[R]) update(corpus []*R, dirty []int, epochMoved bool) eng
 		// untouched engines and the ledger stay coherent by identity.
 		led.benchmarks = s.ledger.benchmarks
 	}
+	// Score blocks (computed on first read): an epoch move or a benchmark
+	// shift changes every row's aggregates, so each shard fills whole;
+	// otherwise a repaired shard refills only its dirty rows and a clean
+	// shard keeps sharing its parent's block.
+	whole := epochMoved || ne.benchChanged
 	for sh := 0; sh < ns; sh++ {
-		if ne.engines[sh] != nil {
-			ne.engines[sh].benchmarks = led.benchmarks
+		if eng := ne.engines[sh]; eng != nil {
+			eng.benchmarks = led.benchmarks
+			eng.refreshBlock(s.engines[sh].cell, split[sh], whole)
 			continue
 		}
 		// Clean shard: share its matrix, remap the refreshed record
 		// pointers onto it.
 		lo, hi := s.plan.Bounds(sh)
 		ne.engines[sh] = s.engines[sh].remap(corpus[lo:hi], led.benchmarks)
+		if whole {
+			ne.engines[sh].cell = &blockCell{}
+		}
 	}
 	// Routing metadata: union only the dirty rows' current facts into
 	// copy-on-write set copies; clean shards share the old sets. The sets

@@ -43,7 +43,6 @@ type Env struct {
 
 	SourceRecords      []*quality.SourceRecord
 	Sources            *quality.SourceAssessor
-	SourceScores       map[int]float64 // source ID -> overall quality score
 	ContributorRecords []*quality.ContributorRecord
 	Contributors       *quality.ContributorAssessor
 	Analyzer           *sentiment.Analyzer
@@ -55,12 +54,13 @@ type Env struct {
 	// contribIx keeps the per-user activity aggregation incremental
 	// across Advance ticks.
 	contribIx *quality.ContributorIndex
+}
 
-	// sourceAssessments caches the per-row source assessments backing
-	// SourceScores, row-aligned with SourceRecords, so a sparse-churn
-	// Advance can reuse clean rows' assessment maps by reference instead
-	// of rebuilding every map only to read one float from it.
-	sourceAssessments []*quality.Assessment
+// SourceScore returns the overall quality score of the corpus source with
+// the given ID, read from the source assessor's score block; ok is false
+// for IDs outside the corpus.
+func (env *Env) SourceScore(id int) (score float64, ok bool) {
+	return env.Sources.ScoreOf(id)
 }
 
 // NewEnv assesses the world once and returns the shared environment.
@@ -96,11 +96,6 @@ func NewEnvCorrelated(world *webgen.World, panel *analytics.Panel, di quality.Do
 		}
 	}
 	env.Sources = quality.NewSourceAssessor(env.SourceRecords, di, opts)
-	env.sourceAssessments = env.Sources.AssessAll(env.SourceRecords)
-	env.SourceScores = make(map[int]float64, len(env.SourceRecords))
-	for _, a := range env.sourceAssessments {
-		env.SourceScores[a.ID] = a.Score
-	}
 	env.contribIx = quality.NewContributorIndex(world)
 	env.ContributorRecords = env.contribIx.Records()
 	env.Contributors = quality.NewContributorAssessor(env.ContributorRecords, di, opts)
@@ -109,14 +104,14 @@ func NewEnvCorrelated(world *webgen.World, panel *analytics.Panel, di quality.Do
 
 // Advance derives the environment of an incrementally advanced world: the
 // records of the delta's dirty sources and contributors are rebuilt or
-// additively updated, the assessors repair their measure matrices via
-// UpdateRows instead of re-evaluating the corpus, and the source-score
-// join is re-read from the updated assessor. The delta may span several
-// coalesced ticks (webgen.Delta.Merge) — dirty sets union and the epoch
-// flag composes, so one repair over the spanning delta equals repairing
-// each tick in turn. Every derived number is bit-identical to NewEnv over
-// the same world and panel; the receiver is left untouched, still serving
-// readers of the pre-advance snapshot.
+// additively updated, and the assessors repair their measure matrices and
+// score blocks via UpdateRows instead of re-evaluating the corpus (the
+// source-score join is a read of the repaired block, see SourceScore).
+// The delta may span several coalesced ticks (webgen.Delta.Merge) — dirty
+// sets union and the epoch flag composes, so one repair over the spanning
+// delta equals repairing each tick in turn. Every derived number is
+// bit-identical to NewEnv over the same world and panel; the receiver is
+// left untouched, still serving readers of the pre-advance snapshot.
 func (env *Env) Advance(world *webgen.World, panel *analytics.Panel, delta *webgen.Delta) *Env {
 	ne := &Env{
 		World:       world,
@@ -146,27 +141,6 @@ func (env *Env) Advance(world *webgen.World, panel *analytics.Panel, delta *webg
 		srcReEval = true
 	}
 	ne.Sources = env.Sources.UpdateRows(records, dirtyRows, srcReEval)
-	// Score join. At sparse churn, a clean row's full Assessment is
-	// unchanged — its raw observations did not move and, when the repaired
-	// benchmarks come out bitwise identical, neither did its
-	// normalisation — so the cached assessment is reused by reference and
-	// only dirty rows re-assess (served from the repaired matrix). Any
-	// doubt (epoch moved, benchmarks shifted, row count changed) falls
-	// back to the full rebuild.
-	ne.SourceScores = make(map[int]float64, len(records))
-	if !srcReEval && len(env.sourceAssessments) == len(records) && ne.Sources.BenchmarksEqual(env.Sources) {
-		as := make([]*quality.Assessment, len(records))
-		copy(as, env.sourceAssessments)
-		for _, row := range dirtyRows {
-			as[row] = ne.Sources.Assess(records[row])
-		}
-		ne.sourceAssessments = as
-	} else {
-		ne.sourceAssessments = ne.Sources.AssessAll(records)
-	}
-	for _, a := range ne.sourceAssessments {
-		ne.SourceScores[a.ID] = a.Score
-	}
 	ix, contribDirty := env.contribIx.Apply(world, delta)
 	ne.contribIx = ix
 	ne.ContributorRecords = ix.Records()
@@ -219,8 +193,8 @@ func commentItem(env *Env, src *webgen.Source, d *webgen.Discussion, c *webgen.C
 		"posted":    c.Posted,
 		"replies":   c.Replies,
 		"feedbacks": c.Feedbacks,
-		"quality":   env.SourceScores[src.ID],
 	}
+	it["quality"], _ = env.SourceScore(src.ID)
 	if c.Geo != nil {
 		it["lat"] = c.Geo.Lat
 		it["lon"] = c.Geo.Lon
@@ -393,7 +367,7 @@ func (f *qualityFilter) Process(_ *mashup.Context, in mashup.Inputs) (mashup.Out
 	var out []mashup.Item
 	for _, it := range in.All() {
 		if sid, ok := it.Float("source_id"); ok {
-			if _, inCorpus := f.env.SourceScores[int(sid)]; inCorpus {
+			if _, inCorpus := f.env.SourceScore(int(sid)); inCorpus {
 				if f.pass[int(sid)] {
 					out = append(out, it)
 				}
@@ -552,7 +526,7 @@ func (s *sentimentService) Process(_ *mashup.Context, in mashup.Inputs) (mashup.
 		for sid, c := range byCatSource[cat] {
 			qual := 1.0
 			if s.weighByQuality {
-				if q, ok := s.env.SourceScores[sid]; ok {
+				if q, ok := s.env.SourceScore(sid); ok {
 					qual = q
 				}
 			}

@@ -25,12 +25,16 @@ func testEnv(t *testing.T) *Env {
 
 func TestNewEnvAssessesEverything(t *testing.T) {
 	env := testEnv(t)
-	if len(env.SourceScores) != 40 {
-		t.Fatalf("source scores = %d", len(env.SourceScores))
+	if len(env.SourceRecords) != 40 {
+		t.Fatalf("source records = %d", len(env.SourceRecords))
 	}
-	for id, s := range env.SourceScores {
+	for _, r := range env.SourceRecords {
+		s, ok := env.SourceScore(r.ID)
+		if !ok {
+			t.Errorf("source %d has no score", r.ID)
+		}
 		if s < 0 || s > 1 {
-			t.Errorf("source %d score %v out of range", id, s)
+			t.Errorf("source %d score %v out of range", r.ID, s)
 		}
 	}
 	if len(env.ContributorRecords) != 120 {
@@ -84,16 +88,13 @@ func TestCommentSourceTopSources(t *testing.T) {
 	if len(seen) > 3 {
 		t.Errorf("top_sources leaked %d sources", len(seen))
 	}
-	// The selected sources must be the globally best-scoring ones.
-	var best []int
-	for id := range env.SourceScores {
-		best = append(best, id)
-	}
-	// Find the maximum score among non-selected; must not exceed the
-	// minimum among selected.
+	// The selected sources must be the globally best-scoring ones: the
+	// maximum score among non-selected must not exceed the minimum among
+	// selected.
 	minSel, maxUnsel := 2.0, -1.0
-	for id, s := range env.SourceScores {
-		if seen[id] {
+	for _, r := range env.SourceRecords {
+		s, _ := env.SourceScore(r.ID)
+		if seen[r.ID] {
 			if s < minSel {
 				minSel = s
 			}
@@ -101,7 +102,6 @@ func TestCommentSourceTopSources(t *testing.T) {
 			maxUnsel = s
 		}
 	}
-	_ = best
 	if maxUnsel > minSel {
 		t.Errorf("top_sources not quality-ordered: unselected %v > selected %v", maxUnsel, minSel)
 	}

@@ -120,8 +120,10 @@ func (d *Delta) ForEachNewComment(fn func(sourceID int, disc *Discussion, c *Com
 // with an empty Delta.
 //
 // Advance is deterministic given the seed and preserves all generator
-// invariants: IDs stay globally unique, timestamps stay ordered within the
-// (new) timeline, and MaxOpenDiscussions is recomputed.
+// invariants: IDs stay globally unique (minted from the world's carried ID
+// frontier), timestamps stay ordered within the (new) timeline, and
+// MaxOpenDiscussions is raised from the touched sources (discussions never
+// close, so no other source can move it).
 //
 //informer:mutates copy-on-write tick fills the successor world before it is published
 func Advance(w *World, days int, seed int64) (*World, *Delta) {
@@ -140,19 +142,8 @@ func Advance(w *World, days int, seed int64) (*World, *Delta) {
 		dirtyContributors: map[int]bool{},
 	}
 
-	nextDiscID, nextComID := 0, 0
-	for _, s := range w.Sources {
-		for _, d := range s.Discussions {
-			if d.ID >= nextDiscID {
-				nextDiscID = d.ID + 1
-			}
-			for _, c := range d.Comments {
-				if c.ID >= nextComID {
-					nextComID = c.ID + 1
-				}
-			}
-		}
-	}
+	frontier := w.idFrontier()
+	nextDiscID, nextComID := frontier.NextDiscussionID, frontier.NextCommentID
 
 	userWeights := make([]float64, len(w.Users))
 	for i, u := range w.Users {
@@ -172,10 +163,11 @@ func Advance(w *World, days int, seed int64) (*World, *Delta) {
 	}
 
 	nw := &World{
-		Config:     w.Config,
-		Categories: w.Categories,
-		Users:      w.Users,
-		Sources:    make([]*Source, len(w.Sources)),
+		Config:             w.Config,
+		Categories:         w.Categories,
+		Users:              w.Users,
+		Sources:            make([]*Source, len(w.Sources)),
+		MaxOpenDiscussions: w.MaxOpenDiscussions,
 	}
 	nw.Config.End = newEnd
 
@@ -261,19 +253,16 @@ func Advance(w *World, days int, seed int64) (*World, *Delta) {
 		}
 		ns.Discussions = append(ns.Discussions, newDiscs...)
 		nw.Sources[si] = ns
+		if n := ns.OpenDiscussions(); n > nw.MaxOpenDiscussions {
+			nw.MaxOpenDiscussions = n
+		}
 		delta.dirtySources[s.ID] = true
 		for _, d := range newDiscs {
 			delta.Discussions = append(delta.Discussions, d)
 			delta.discussionSources = append(delta.discussionSources, s.ID)
 		}
 	}
-
-	nw.MaxOpenDiscussions = 0
-	for _, s := range nw.Sources {
-		if n := s.OpenDiscussions(); n > nw.MaxOpenDiscussions {
-			nw.MaxOpenDiscussions = n
-		}
-	}
+	carryFrontier(nw, w, delta)
 	return nw, delta
 }
 
@@ -308,16 +297,7 @@ func AdvanceSameDay(w *World, seed int64, onlySources []int) (*World, *Delta) {
 		}
 	}
 
-	nextComID := 0
-	for _, s := range w.Sources {
-		for _, d := range s.Discussions {
-			for _, c := range d.Comments {
-				if c.ID >= nextComID {
-					nextComID = c.ID + 1
-				}
-			}
-		}
-	}
+	nextComID := w.idFrontier().NextCommentID
 	userWeights := make([]float64, len(w.Users))
 	for i, u := range w.Users {
 		userWeights[i] = math.Exp(u.Activity)
@@ -391,6 +371,7 @@ func AdvanceSameDay(w *World, seed int64, onlySources []int) (*World, *Delta) {
 		nw.Sources[si] = ns
 		delta.dirtySources[s.ID] = true
 	}
+	carryFrontier(nw, w, delta)
 	return nw, delta
 }
 

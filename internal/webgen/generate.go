@@ -30,6 +30,7 @@ func Generate(cfg Config) *World {
 			w.MaxOpenDiscussions = n
 		}
 	}
+	w.frontier, w.frontierKnown = scanIDFrontier(w), true
 	return w
 }
 

@@ -10,21 +10,34 @@ import (
 )
 
 // IDCursor carries the next free discussion and comment IDs across a run
-// of per-source ticks, so each AdvanceSource call stays O(one source)
-// instead of re-scanning the whole world for the ID frontier. NewIDCursor
-// scans once; AdvanceSource advances the cursor in place as it mints IDs.
+// of per-source ticks; AdvanceSource advances it in place as it mints IDs.
 // Any tick NOT threaded through the cursor (Advance, AdvanceSameDay)
-// invalidates it — re-scan with NewIDCursor afterwards, or the next
+// invalidates it — take a new one with NewIDCursor afterwards, or the next
 // AdvanceSource would mint duplicate IDs.
 type IDCursor struct {
 	NextDiscussionID int
 	NextCommentID    int
 }
 
-// NewIDCursor scans the world once and returns a cursor positioned just
-// past its highest discussion and comment IDs.
+// NewIDCursor returns a cursor positioned just past the world's highest
+// discussion and comment IDs. Generated and ticked worlds carry that
+// frontier, so this is O(1); a world built as a struct literal is scanned.
 func NewIDCursor(w *World) *IDCursor {
-	cur := &IDCursor{}
+	cur := w.idFrontier()
+	return &cur
+}
+
+// idFrontier returns the world's ID frontier: the carried one, or a scan.
+func (w *World) idFrontier() IDCursor {
+	if w.frontierKnown {
+		return w.frontier
+	}
+	return scanIDFrontier(w)
+}
+
+// scanIDFrontier walks every discussion and comment for the highest IDs.
+func scanIDFrontier(w *World) IDCursor {
+	var cur IDCursor
 	for _, s := range w.Sources {
 		for _, d := range s.Discussions {
 			if d.ID >= cur.NextDiscussionID {
@@ -38,6 +51,27 @@ func NewIDCursor(w *World) *IDCursor {
 		}
 	}
 	return cur
+}
+
+// carryFrontier sets a successor world's ID frontier: its parent's,
+// raised past every ID the tick's delta minted — exactly what a scan of
+// the successor would find.
+//
+//informer:mutates sets the successor world's frontier before it is published
+func carryFrontier(nw, parent *World, delta *Delta) {
+	f := parent.idFrontier()
+	raise := func(next *int, id int) {
+		if id >= *next {
+			*next = id + 1
+		}
+	}
+	for _, d := range delta.Discussions {
+		raise(&f.NextDiscussionID, d.ID)
+	}
+	delta.ForEachNewComment(func(_ int, _ *Discussion, c *Comment) {
+		raise(&f.NextCommentID, c.ID)
+	})
+	nw.frontier, nw.frontierKnown = f, true
 }
 
 // Clone returns an independent copy of the delta: the slices and dirty
@@ -279,5 +313,6 @@ func AdvanceSource(w *World, sourceID int, seed int64, cur *IDCursor) (*World, *
 		delta.Discussions = append(delta.Discussions, d)
 		delta.discussionSources = append(delta.discussionSources, s.ID)
 	}
+	carryFrontier(nw, w, delta)
 	return nw, delta
 }

@@ -139,6 +139,13 @@ type World struct {
 	// source, the paper's normalisation base for "number of open
 	// discussions compared to largest Web blog/forum".
 	MaxOpenDiscussions int
+
+	// frontier is the next free discussion and comment ID, carried from
+	// tick to tick so minting IDs never rescans the corpus. frontierKnown
+	// is false on a world built as a struct literal, whose first tick
+	// scans once.
+	frontier      IDCursor
+	frontierKnown bool
 }
 
 // Config controls world generation.
